@@ -94,6 +94,12 @@ echo "==> bench guard (every committed BENCH_*.json within its committed budget)
 # unbudgeted or silently-dropped benches too.
 cargo run -p nomc-bench --release --offline --quiet --bin bench_guard
 
+echo "==> benchmark suite (perfbench/, its own package)"
+# perfbench drives the public APIs (experiments, sweep, the results
+# server) from outside the workspace, so an API change that breaks the
+# benchmark client fails here rather than in a benchmark run.
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> cargo doc (no deps, warnings denied)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline --quiet
 

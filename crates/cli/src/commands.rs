@@ -57,7 +57,7 @@ USAGE:
               [--budget EVENTS] [--retries N] [--shards N]
               [--checkpoint-every EVENTS] [--wait] [--report out.json]
                                          submit a sweep job to `nomc serve`;
-                                         --wait polls until it concludes,
+                                         --wait follows it until it concludes,
                                          --report fetches the report bytes
   nomc help                              this text
 ";
@@ -700,9 +700,12 @@ pub fn serve(args: &[String]) -> Result<(), CliError> {
         }
         cfg.workers = workers;
     }
-    signals::install_drain_handler();
+    signals::install_drain_handler()
+        .map_err(|e| format!("serve: installing the drain handler: {e}"))?;
     let server = Server::start(cfg).map_err(|e| format!("serve: {e}"))?;
     eprintln!("nomc serve: listening on {}", server.addr());
+    signals::wait_for_drain();
+    server.drain();
     server.join();
     eprintln!("nomc serve: drained");
     Ok(())
@@ -763,7 +766,13 @@ pub fn submit(args: &[String]) -> Result<(), CliError> {
         .map_err(|e| CliError::usage(format!("rejected job spec: {e}")))?;
 
     let body = nomc_json::to_string(&spec);
-    let resp = http_request(&addr, http::Method::Post, "/jobs", body.as_bytes())?;
+    let resp = http_request(
+        &addr,
+        http::Method::Post,
+        "/jobs",
+        body.as_bytes(),
+        IO_TIMEOUT,
+    )?;
     let resp_body = String::from_utf8_lossy(&resp.body).into_owned();
     match resp.status {
         200 | 202 => {}
@@ -797,27 +806,37 @@ pub fn submit(args: &[String]) -> Result<(), CliError> {
     if !(wait || report_out.is_some()) {
         return Ok(());
     }
-    // Poll until the job concludes (bounded: the server answers
-    // immediately, so each round is one short exchange).
-    let status_target = format!("/jobs/{job}");
-    let mut concluded = false;
-    for _ in 0..3000 {
-        let status = http_request(&addr, http::Method::Get, &status_target, b"")?;
-        let text = String::from_utf8_lossy(&status.body).into_owned();
-        if status.status != 200 {
-            return Err(format!("status poll failed with {}: {text}", status.status).into());
-        }
-        if text.contains("\"state\":\"failed\"") {
-            return Err(format!("job {job} failed: {text}").into());
-        }
-        if text.contains("\"state\":\"done\"") {
-            concluded = true;
-            break;
-        }
-        std::thread::sleep(std::time::Duration::from_millis(200));
+    // The server ends a job's event stream once the job is done, has
+    // failed, or was requeued by a drain; one status read then tells
+    // which.
+    let events = http_request(
+        &addr,
+        http::Method::Get,
+        &format!("/jobs/{job}/events"),
+        b"",
+        EVENTS_SILENCE,
+    )?;
+    if events.status != 200 {
+        return Err(format!("event stream failed with {}", events.status).into());
     }
-    if !concluded {
-        return Err(format!("job {job} did not conclude within the polling window").into());
+    let status = http_request(
+        &addr,
+        http::Method::Get,
+        &format!("/jobs/{job}"),
+        b"",
+        IO_TIMEOUT,
+    )?;
+    let text = String::from_utf8_lossy(&status.body).into_owned();
+    if status.status != 200 {
+        return Err(format!("status poll failed with {}: {text}", status.status).into());
+    }
+    if text.contains("\"state\":\"failed\"") {
+        return Err(format!("job {job} failed: {text}").into());
+    }
+    if !text.contains("\"state\":\"done\"") {
+        return Err(
+            format!("job {job} did not conclude before its event stream ended: {text}").into(),
+        );
     }
     eprintln!("job {job} done");
     if let Some(out) = report_out {
@@ -826,6 +845,7 @@ pub fn submit(args: &[String]) -> Result<(), CliError> {
             http::Method::Get,
             &format!("/jobs/{job}/report"),
             b"",
+            IO_TIMEOUT,
         )?;
         if report.status != 200 {
             return Err(format!(
@@ -841,19 +861,28 @@ pub fn submit(args: &[String]) -> Result<(), CliError> {
     Ok(())
 }
 
+/// Per-operation socket timeout for an ordinary exchange with the
+/// server.
+const IO_TIMEOUT: std::time::Duration = std::time::Duration::from_secs(30);
+/// The longest silence `submit --wait` tolerates on a job's event
+/// stream: a queued job's stream says nothing until a worker picks it
+/// up.
+const EVENTS_SILENCE: std::time::Duration = std::time::Duration::from_secs(600);
+
 /// One HTTP exchange against the results server (connect, send, read
-/// to close, parse). All timeouts are bounded; a wedged server is a
-/// typed error, never a hang.
+/// to close, parse), each socket operation bounded by `timeout`; a
+/// wedged server is a typed error, never a hang. A streamed response
+/// (`/events`) parses with an empty body once the server closes it.
 fn http_request(
     addr: &str,
     method: nomc_serve::http::Method,
     target: &str,
     body: &[u8],
+    timeout: std::time::Duration,
 ) -> Result<nomc_serve::http::ClientResponse, String> {
     use nomc_serve::http;
     use std::io::{Read, Write};
 
-    let timeout = std::time::Duration::from_secs(30);
     let mut stream =
         std::net::TcpStream::connect(addr).map_err(|e| format!("cannot connect to {addr}: {e}"))?;
     stream

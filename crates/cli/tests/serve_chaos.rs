@@ -373,3 +373,22 @@ fn flaky_clients_never_wedge_the_server() {
     server.kill().expect("cleanup kill");
     server.wait().expect("server reaped");
 }
+
+#[test]
+fn sigterm_drains_an_idle_server_promptly() {
+    // No connection is ever made: the signal alone must wake the
+    // server's blocking accept.
+    let state = test_dir("idle-state");
+    let (mut server, _addr) = start_server(&state);
+    sigterm(&mut server);
+    for _ in 0..250 {
+        if let Some(status) = server.try_wait().expect("server status readable") {
+            assert_eq!(status.code(), Some(0), "SIGTERM drain must exit cleanly");
+            return;
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    let _ = server.kill();
+    let _ = server.wait();
+    panic!("idle server ignored SIGTERM for 5 s");
+}

@@ -16,10 +16,10 @@
 
 use std::fmt;
 use std::fs;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::Duration;
 
@@ -40,44 +40,127 @@ use crate::registry::{Admission, Registry};
 const PROGRESS_EVERY: u64 = 100_000;
 /// Concurrent connection cap; excess connections get a best-effort 503.
 const MAX_CONNS: usize = 64;
-/// Accept-loop poll cadence.
-const POLL: Duration = Duration::from_millis(25);
-/// Drain waits at most this many polls for in-flight connections.
-const DRAIN_POLLS: usize = 600;
+/// Pause after a failed `accept` (e.g. EMFILE), so a persistent error
+/// cannot spin the accept thread. Successful accepts never wait.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(10);
+/// How long a drain waits for in-flight connections to finish.
+const DRAIN_GRACE: Duration = Duration::from_secs(15);
 
-/// SIGTERM/SIGINT → drain flag, kept `std`-only.
+/// SIGTERM/SIGINT → a drain request, kept `std`-only.
+///
+/// A self-pipe carries the request out of the signal handler: the
+/// handler writes one byte to a Unix socket pair, and
+/// [`wait_for_drain`](signals::wait_for_drain) blocks reading the
+/// other end. The server itself never looks at signals; its owner turns
+/// the wake-up into [`Server::drain`].
 pub mod signals {
-    use std::sync::atomic::{AtomicBool, Ordering};
+    pub use imp::{install_drain_handler, wait_for_drain};
 
-    static DRAIN_REQUESTED: AtomicBool = AtomicBool::new(false);
-
-    /// Whether a termination signal has asked for a graceful drain.
-    pub fn drain_requested() -> bool {
-        DRAIN_REQUESTED.load(Ordering::Relaxed)
-    }
-
-    /// Installs SIGTERM/SIGINT handlers that flip the drain flag (the
-    /// accept loop polls it). Async-signal-safe: the handler is one
-    /// atomic store.
     #[cfg(unix)]
-    pub fn install_drain_handler() {
-        extern "C" fn on_signal(_signum: i32) {
-            DRAIN_REQUESTED.store(true, Ordering::Relaxed);
-        }
+    mod imp {
+        use std::io::{self, Read};
+        use std::os::fd::AsRawFd;
+        use std::os::unix::net::UnixStream;
+        use std::sync::atomic::{AtomicI32, Ordering};
+        use std::sync::OnceLock;
+
+        /// The pipe's write end as a raw fd for the handler; -1 until
+        /// installed. Stored (Release) after `PIPE` is set, loaded
+        /// (Acquire) by the handler.
+        static WAKE_FD: AtomicI32 = AtomicI32::new(-1);
+        /// `(read end, write end)`, alive for the rest of the process.
+        static PIPE: OnceLock<(UnixStream, UnixStream)> = OnceLock::new();
+
         extern "C" {
             fn signal(signum: i32, handler: extern "C" fn(i32)) -> usize;
+            fn write(fd: i32, buf: *const u8, count: usize) -> isize;
         }
-        const SIGINT: i32 = 2;
-        const SIGTERM: i32 = 15;
-        unsafe {
-            signal(SIGTERM, on_signal);
-            signal(SIGINT, on_signal);
+
+        /// Async-signal-safe: one atomic load and one `write(2)`. The
+        /// write end is non-blocking, so unread wake bytes cannot stall
+        /// the handler, and `write(2)` touches `errno` only when it
+        /// fails, which needs a full backlog of them.
+        extern "C" fn on_signal(_signum: i32) {
+            let fd = WAKE_FD.load(Ordering::Acquire);
+            if fd >= 0 {
+                let byte = 1u8;
+                // SAFETY: `fd` is the write end of `PIPE`, which is
+                // never dropped once set, and `byte` is a live one-byte
+                // buffer.
+                unsafe {
+                    write(fd, &byte, 1);
+                }
+            }
+        }
+
+        /// Installs SIGTERM/SIGINT handlers that request a drain (see
+        /// the module doc). Idempotent.
+        ///
+        /// # Errors
+        ///
+        /// An [`io::Error`] when the wake pipe cannot be created.
+        pub fn install_drain_handler() -> io::Result<()> {
+            if PIPE.get().is_none() {
+                let (reader, writer) = UnixStream::pair()?;
+                writer.set_nonblocking(true)?;
+                // A racing installer may win; its pair is as good.
+                let _ = PIPE.set((reader, writer));
+            }
+            let (_, writer) = PIPE.get().expect("the pipe was set above");
+            WAKE_FD.store(writer.as_raw_fd(), Ordering::Release);
+            const SIGINT: i32 = 2;
+            const SIGTERM: i32 = 15;
+            // SAFETY: `on_signal` performs only async-signal-safe
+            // operations, and the fd it writes is published above,
+            // before either handler is installed.
+            unsafe {
+                signal(SIGTERM, on_signal);
+                signal(SIGINT, on_signal);
+            }
+            Ok(())
+        }
+
+        /// Blocks until SIGTERM or SIGINT arrives after
+        /// [`install_drain_handler`], returning at once if one already
+        /// has. Without an installed handler it blocks forever.
+        pub fn wait_for_drain() {
+            let Some((reader, _)) = PIPE.get() else {
+                loop {
+                    std::thread::park();
+                }
+            };
+            let mut byte = [0u8; 1];
+            loop {
+                match (&*reader).read(&mut byte) {
+                    Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                    // A wake byte, or a pipe that can no longer carry
+                    // one: drain either way, rather than leave SIGTERM
+                    // without effect.
+                    _ => return,
+                }
+            }
         }
     }
 
-    /// No signals to hook on non-Unix targets; `drain()` still works.
     #[cfg(not(unix))]
-    pub fn install_drain_handler() {}
+    mod imp {
+        /// No signals to hook on non-Unix targets; `drain()` still
+        /// works.
+        ///
+        /// # Errors
+        ///
+        /// Never.
+        pub fn install_drain_handler() -> std::io::Result<()> {
+            Ok(())
+        }
+
+        /// Blocks forever: non-Unix targets have no drain signal.
+        pub fn wait_for_drain() {
+            loop {
+                std::thread::park();
+            }
+        }
+    }
 }
 
 /// Server configuration.
@@ -184,9 +267,6 @@ impl Server {
         let addr = listener
             .local_addr()
             .map_err(|e| io_err("reading bound address", &e))?;
-        listener
-            .set_nonblocking(true)
-            .map_err(|e| io_err("configuring listener", &e))?;
         // Publish the bound address so `--addr 127.0.0.1:0` runs are
         // discoverable (atomic replace: readers never see a torn file).
         journal::write_atomic(&cfg.state_dir.join("serve.addr"), &format!("{addr}\n"))?;
@@ -206,7 +286,7 @@ impl Server {
         let accept = {
             let ctx = Arc::clone(&ctx);
             let drain = Arc::clone(&drain);
-            thread::spawn(move || accept_loop(&listener, &ctx, &drain))
+            thread::spawn(move || accept_loop(listener, &ctx, &drain))
         };
         Ok(Server {
             addr,
@@ -222,13 +302,25 @@ impl Server {
     }
 
     /// Requests a graceful drain: stop accepting, finish or requeue
-    /// in-flight work, end event streams.
+    /// in-flight work, end event streams. Idempotent.
     pub fn drain(&self) {
-        self.drain.store(true, Ordering::Relaxed);
+        // Release pairs with the accept loop's Acquire load: the flag
+        // is visible once the wake-up connection below is accepted.
+        self.drain.store(true, Ordering::Release);
+        // Wake the blocked `accept`. Best effort: if the connect fails,
+        // the loop has already stopped listening.
+        let mut wake = self.addr;
+        if wake.ip().is_unspecified() {
+            wake.set_ip(match wake {
+                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
+        let _ = TcpStream::connect(wake);
     }
 
     /// Waits for the accept loop and every worker to exit (they do
-    /// once a drain is requested via [`Server::drain`] or a signal).
+    /// once [`Server::drain`] is called).
     pub fn join(mut self) {
         if let Some(accept) = self.accept.take() {
             let _ = accept.join();
@@ -275,42 +367,60 @@ fn recover(state_dir: &Path, registry: &Registry) {
     }
 }
 
-/// Accepts connections until a drain is requested (via the handle or a
-/// signal), then runs the drain protocol: stop accepting, drain the
-/// registry (workers exit, event streams end), and give in-flight
-/// connections a bounded window to finish.
-fn accept_loop(listener: &TcpListener, ctx: &Arc<Ctx>, drain: &Arc<AtomicBool>) {
-    let active = Arc::new(AtomicUsize::new(0));
+/// Blocks in `accept` until [`Server::drain`] sets the drain flag and
+/// wakes it with a connection of its own, then runs the drain protocol:
+/// stop listening, drain the registry (workers exit, event streams
+/// end), and give in-flight connections a bounded window to finish.
+fn accept_loop(listener: TcpListener, ctx: &Arc<Ctx>, drain: &AtomicBool) {
+    // In-flight connection count; connection threads notify as they end.
+    let active = Arc::new((Mutex::new(0usize), Condvar::new()));
     loop {
-        if drain.load(Ordering::Relaxed) || signals::drain_requested() {
+        let accepted = listener.accept();
+        // Checked after every accept, so the wake-up connection (and
+        // any client racing it) is dropped unanswered.
+        if drain.load(Ordering::Acquire) {
             break;
         }
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                if active.load(Ordering::Relaxed) >= MAX_CONNS {
-                    // Best-effort shed; if the peer is gone, so be it.
-                    let _ = overloaded(stream, ctx.io_budget);
-                    continue;
-                }
-                active.fetch_add(1, Ordering::Relaxed);
-                let ctx = Arc::clone(ctx);
-                let active = Arc::clone(&active);
-                thread::spawn(move || {
-                    handle_conn(&ctx, stream);
-                    active.fetch_sub(1, Ordering::Relaxed);
-                });
+        let stream = match accepted {
+            Ok((stream, _peer)) => stream,
+            Err(_) => {
+                thread::sleep(ACCEPT_BACKOFF);
+                continue;
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => thread::sleep(POLL),
-            Err(_) => thread::sleep(POLL),
+        };
+        {
+            let mut count = active
+                .0
+                .lock()
+                .expect("connection count lock is never poisoned");
+            if *count >= MAX_CONNS {
+                drop(count);
+                // Best-effort shed; if the peer is gone, so be it.
+                let _ = overloaded(stream, ctx.io_budget);
+                continue;
+            }
+            *count += 1;
         }
+        let ctx = Arc::clone(ctx);
+        let active = Arc::clone(&active);
+        thread::spawn(move || {
+            handle_conn(&ctx, stream);
+            let (count, idle) = &*active;
+            *count
+                .lock()
+                .expect("connection count lock is never poisoned") -= 1;
+            idle.notify_all();
+        });
     }
+    drop(listener);
     ctx.registry.drain();
-    for _ in 0..DRAIN_POLLS {
-        if active.load(Ordering::Relaxed) == 0 {
-            break;
-        }
-        thread::sleep(POLL);
-    }
+    let (count, idle) = &*active;
+    let count = count
+        .lock()
+        .expect("connection count lock is never poisoned");
+    let _ = idle
+        .wait_timeout_while(count, DRAIN_GRACE, |n| *n > 0)
+        .expect("connection count lock is never poisoned");
 }
 
 /// Sheds a connection accepted over the cap with a best-effort 503.

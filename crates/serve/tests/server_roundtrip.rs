@@ -226,9 +226,9 @@ fn invalid_specs_are_rejected_with_400() {
 fn full_queue_sheds_with_retry_after() {
     let state = temp_dir("shed");
     let mut cfg = ServeConfig::new("127.0.0.1:0", &state);
-    // One slot, and no worker fast enough to drain it: workers poll
-    // jobs in a loop, so use a queue of 1 and submit three distinct
-    // jobs back to back; at least one must shed.
+    // One slot and one worker: the worker takes one job off the queue
+    // at a time (it blocks on the registry's condvar between jobs), so
+    // a burst of distinct jobs must overflow the single queued slot.
     cfg.max_queue = 1;
     cfg.workers = 1;
     let server = Server::start(cfg).expect("server boots");
@@ -260,5 +260,99 @@ fn full_queue_sheds_with_retry_after() {
     }
     assert!(shed > 0, "a 10-deep burst into a 1-slot queue must shed");
     server.drain();
+    server.join();
+}
+
+#[test]
+fn idle_server_drains_promptly() {
+    let state = temp_dir("idle");
+    let server = Server::start(ServeConfig::new("127.0.0.1:0", &state)).expect("server boots");
+    let addr = server.addr();
+    // No connection is ever made: only drain's own wake-up can end the
+    // blocking accept. Drain on a helper thread so a missed wake-up
+    // fails the test instead of hanging it.
+    let (done, finished) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        server.drain();
+        server.join();
+        let _ = done.send(());
+    });
+    assert!(
+        finished.recv_timeout(Duration::from_secs(2)).is_ok(),
+        "idle server did not drain within 2 s"
+    );
+    assert!(
+        TcpStream::connect(addr).is_err(),
+        "drained server must not accept connections"
+    );
+}
+
+#[test]
+fn draining_twice_is_harmless() {
+    let state = temp_dir("drain-twice");
+    let server = Server::start(ServeConfig::new("127.0.0.1:0", &state)).expect("server boots");
+    assert_eq!(
+        exchange(server.addr(), Method::Get, "/healthz", b"").status,
+        200
+    );
+    server.drain();
+    server.drain();
+    server.join();
+}
+
+#[test]
+fn drain_ends_an_open_event_stream() {
+    let state = temp_dir("drain-events");
+    let mut cfg = ServeConfig::new("127.0.0.1:0", &state);
+    cfg.workers = 1;
+    let server = Server::start(cfg).expect("server boots");
+    let addr = server.addr();
+
+    // Enough members that the job is still running when the drain lands.
+    let seeds: Vec<u64> = (1..=40).collect();
+    let accepted = exchange(
+        addr,
+        Method::Post,
+        "/jobs",
+        spec_json_with(&seeds, 2_000_000).as_bytes(),
+    );
+    assert_eq!(accepted.status, 202, "{}", body_text(&accepted));
+    let accepted_body = body_text(&accepted);
+    let job_hex = accepted_body
+        .split("\"job\":\"")
+        .nth(1)
+        .and_then(|rest| rest.get(..16))
+        .expect("job id in ack");
+
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    stream
+        .write_all(&http::render_request(
+            Method::Get,
+            &format!("/jobs/{job_hex}/events"),
+            b"",
+        ))
+        .expect("send request");
+    // Wait until the stream is live and the job has started.
+    let mut bytes = Vec::new();
+    let mut chunk = [0u8; 4096];
+    while !String::from_utf8_lossy(&bytes).contains("\"event\":\"started\"") {
+        let n = stream.read(&mut chunk).expect("read stream");
+        assert!(n > 0, "stream ended before the job started");
+        bytes.extend_from_slice(&chunk[..n]);
+    }
+
+    server.drain();
+    stream
+        .read_to_end(&mut bytes)
+        .expect("stream ends after drain");
+    let events = String::from_utf8_lossy(&bytes);
+    let last = events.lines().last().unwrap_or_default();
+    assert!(
+        last.contains("\"event\":\"requeued\"") || last.contains("\"event\":\"done\""),
+        "a drained stream ends with the job's requeue (or its end): {events}"
+    );
     server.join();
 }
