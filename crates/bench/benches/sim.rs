@@ -30,6 +30,10 @@
 //!   compare against `power_sense_heavy` for the supervision premium.
 //!   With checkpointing off the engine never touches this code, so the
 //!   plain kernels above double as the zero-regression guard.
+//! * `sharded_checkpoint_overhead` — the same supervision loop through
+//!   `run_sharded_until` on the six-independent-network workload:
+//!   compare against `sharded_serial_baseline` for the premium of
+//!   sharded snapshots.
 //!
 //! `cargo bench -p nomc-bench --bench sim` writes `BENCH_sim.json` with
 //! wall-clock per run and events/sec, the perf-trajectory record ci.sh
@@ -157,12 +161,21 @@ fn sharded_independent_scenario(seed: u64) -> Scenario {
 /// events, persist the snapshot through the sweep checkpoint store
 /// (atomic tmp + fsync + rename), reload and restore it from disk, and
 /// resume — the exact per-leg cost a `--checkpoint-every` sweep member
-/// pays for durability.
-fn run_checkpointed(sc: &Scenario, dir: &std::path::Path, cadence: u64) -> nomc_sim::SimResult {
+/// pays for durability, on the serial or the sharded engine.
+fn run_checkpointed(
+    sc: &Scenario,
+    dir: &std::path::Path,
+    cadence: u64,
+    sharded: bool,
+) -> nomc_sim::SimResult {
     use nomc_experiments::sweep::checkpoint;
     const KEY: u64 = 0xbe7c_0de5;
     let mut target = cadence;
-    let mut progress = engine::run_until(sc, &mut [], u64::MAX, target);
+    let mut progress = if sharded {
+        engine::run_sharded_until(sc, &mut [], u64::MAX, target)
+    } else {
+        engine::run_until(sc, &mut [], u64::MAX, target)
+    };
     loop {
         match progress {
             engine::RunProgress::Paused(snap) => {
@@ -232,7 +245,12 @@ fn bench_sim(c: &mut Criterion) {
     std::fs::create_dir_all(&dir).expect("bench checkpoint dir creatable");
     g.throughput(engine::run(&shrunk).events);
     g.bench_function("checkpoint_overhead", |b| {
-        b.iter(|| black_box(run_checkpointed(&shrunk, &dir, 4_000)))
+        b.iter(|| black_box(run_checkpointed(&shrunk, &dir, 4_000, false)))
+    });
+    let shrunk = shrink(independent);
+    g.throughput(engine::run_sharded(&shrunk, 1).events);
+    g.bench_function("sharded_checkpoint_overhead", |b| {
+        b.iter(|| black_box(run_checkpointed(&shrunk, &dir, 4_000, true)))
     });
     g.finish();
 }

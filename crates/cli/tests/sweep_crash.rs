@@ -4,9 +4,11 @@
 
 #![cfg(unix)]
 
+use nomc_phy::Shadowing;
+use nomc_sim::scenario::Propagation;
 use nomc_sim::{NetworkBehavior, Scenario};
-use nomc_topology::paper;
 use nomc_topology::spectrum::{ChannelPlan, FitPolicy};
+use nomc_topology::{paper, Deployment, LinkSpec, NetworkSpec, Point};
 use nomc_units::{Dbm, Megahertz, SimDuration};
 use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
@@ -173,6 +175,54 @@ fn checkpoint_files(dir: &Path) -> Vec<PathBuf> {
 fn sigkill_mid_member_then_resume_is_byte_identical_to_uninterrupted() {
     let dir = test_dir("sigkill-mid-member");
     let scenario = scenario_file(&dir);
+    kill_mid_member_then_resume(&dir, &scenario, &[]);
+}
+
+/// Six DCN networks 25 MHz and 60 m apart with shadowing off: six
+/// interaction components, so a `--shards` sweep takes the sharded
+/// checkpoint path.
+fn independent_scenario_file(dir: &Path) -> PathBuf {
+    let specs = (0..6)
+        .map(|i| {
+            let freq = Megahertz::new(2410.0 + 25.0 * i as f64);
+            let x = 60.0 * i as f64;
+            let links = vec![
+                LinkSpec::new(Point::new(x, 0.0), Point::new(x + 2.0, 0.0), Dbm::new(0.0)),
+                LinkSpec::new(Point::new(x, 1.0), Point::new(x + 2.0, 1.0), Dbm::new(0.0)),
+            ];
+            NetworkSpec::new(freq, links)
+        })
+        .collect();
+    let mut b = Scenario::builder(Deployment::new(specs));
+    b.behavior_all(NetworkBehavior::dcn_default())
+        .duration(SimDuration::from_secs(6))
+        .warmup(SimDuration::from_secs(2))
+        .propagation(Propagation {
+            shadowing: Shadowing::disabled(),
+            ..Propagation::default()
+        });
+    let scenario = b.build().expect("valid scenario");
+    assert!(
+        nomc_sim::engine::shard_plan(&scenario).len() > 1,
+        "test premise: the scenario shards"
+    );
+    let path = dir.join("scenario.json");
+    std::fs::write(&path, nomc_json::to_string_pretty(&scenario)).expect("scenario written");
+    path
+}
+
+#[test]
+fn sharded_sigkill_mid_member_then_resume_is_byte_identical_to_uninterrupted() {
+    let dir = test_dir("sigkill-mid-member-sharded");
+    let scenario = independent_scenario_file(&dir);
+    kill_mid_member_then_resume(&dir, &scenario, &["--shards", "2"]);
+}
+
+/// Runs a two-member checkpointed sweep of `scenario` to completion as
+/// the reference, then runs it again, SIGKILLs it once a mid-member
+/// checkpoint exists, resumes it, and requires the report and journal
+/// byte-identical to the reference and the snapshot directory drained.
+fn kill_mid_member_then_resume(dir: &Path, scenario: &Path, extra: &[&str]) {
     let snapshots = dir.join("snapshots");
     // Few long members on one thread: the sweep spends nearly all its
     // time *inside* a member, so a kill triggered by the appearance of
@@ -197,6 +247,7 @@ fn sigkill_mid_member_then_resume_is_byte_identical_to_uninterrupted() {
             report.to_str().expect("utf8 path"),
         ]
         .iter()
+        .chain(extra)
         .map(|s| s.to_string())
         .collect()
     };

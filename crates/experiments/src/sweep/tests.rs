@@ -260,6 +260,67 @@ fn planted_mid_member_checkpoint_resumes_to_the_uninterrupted_report() {
     assert_eq!(checkpoint_files(&dir), Vec::<PathBuf>::new());
 }
 
+/// Two DCN networks 25 MHz and 60 m apart with shadowing off: two
+/// interaction components, so `shards: Some(_)` members take the
+/// sharded checkpoint path.
+fn independent_scenario() -> Scenario {
+    use nomc_topology::{Deployment, LinkSpec, NetworkSpec, Point};
+    let specs = (0..2)
+        .map(|i| {
+            let freq = Megahertz::new(2410.0 + 25.0 * i as f64);
+            let x = 60.0 * i as f64;
+            let links = vec![
+                LinkSpec::new(Point::new(x, 0.0), Point::new(x + 2.0, 0.0), Dbm::new(0.0)),
+                LinkSpec::new(Point::new(x, 1.0), Point::new(x + 2.0, 1.0), Dbm::new(0.0)),
+            ];
+            NetworkSpec::new(freq, links)
+        })
+        .collect();
+    let mut b = Scenario::builder(Deployment::new(specs));
+    b.behavior_all(nomc_sim::NetworkBehavior::dcn_default())
+        .duration(SimDuration::from_secs(2))
+        .warmup(SimDuration::from_secs(1))
+        .propagation(nomc_sim::scenario::Propagation {
+            shadowing: nomc_phy::Shadowing::disabled(),
+            ..nomc_sim::scenario::Propagation::default()
+        });
+    b.build().expect("valid independent scenario")
+}
+
+#[test]
+fn version_one_sharded_checkpoint_degrades_to_a_clean_rerun() {
+    // A checkpoint written before the sharded snapshot layout changed
+    // (format version 1) must be discarded and the member re-run from
+    // scratch, with a report byte-identical to the plain sharded sweep.
+    let members = seed_members(&independent_scenario(), &[1, 2]);
+    let first = members.first().expect("two members");
+    assert_eq!(engine::shard_plan(first).len(), 2, "must actually shard");
+    let plain_cfg = SweepConfig {
+        shards: Some(2),
+        ..cfg_with_threads(1)
+    };
+    let plain = run_sweep(&members, &plain_cfg, None, false).expect("plain sweep");
+    let cfg = SweepConfig {
+        shards: Some(2),
+        ..checkpointed_cfg("version-one", 4_000)
+    };
+    let dir = cfg.snapshot_dir.clone().expect("configured above");
+    let mh = hash::member_hash_with(first, cfg.base_budget, true);
+    let engine::RunProgress::Paused(snap) =
+        engine::run_sharded_until(first, &mut [], cfg.base_budget, 4_000)
+    else {
+        panic!("scenario must outlast one cadence");
+    };
+    let text = engine::snapshot(&snap);
+    let old = text.replacen("\"version\":2", "\"version\":1", 1);
+    assert_ne!(text, old, "snapshot must carry format version 2");
+    super::checkpoint::save(&dir, mh, 0, 4_000, &old).expect("planted");
+
+    let report = run_sweep(&members, &cfg, None, false).expect("sweep survives an old checkpoint");
+    assert_eq!(report.to_json_string(), plain.to_json_string());
+    assert_eq!(checkpoint_files(&dir), Vec::<PathBuf>::new());
+}
+
 #[test]
 fn corrupt_or_alien_checkpoints_degrade_to_a_clean_rerun() {
     let members = seed_members(&base_scenario(), &[5]);

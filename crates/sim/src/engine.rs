@@ -267,11 +267,14 @@ pub fn run_until(
 /// Single-component plans delegate to the serial [`run_until`], exactly
 /// as [`run_sharded`] delegates to [`run`]. Multi-component plans run
 /// rank by rank with the same per-shard budget split as
-/// [`run_sharded_bounded`]; on completion the buffered note stream
-/// replays through the canonical `(time, shard, seq)` merge, so the
-/// merged result and observer stream are byte-identical to an
-/// uninterrupted [`run_sharded_bounded`] whatever the pause pattern
-/// was.
+/// [`run_sharded_bounded`], with no relay attached, so a snapshot holds
+/// only live engine state. On completion, when `observers` or the
+/// scenario's trace/timeline recorders consume the note stream, every
+/// rank re-runs once from its bootstrap to rebuild its stream, which is
+/// replayed through the canonical `(time, shard, seq)`
+/// merge, so the merged result and observer stream are byte-identical
+/// to an uninterrupted [`run_sharded_bounded`] whatever the pause
+/// pattern was.
 ///
 /// # Panics
 ///
@@ -325,7 +328,8 @@ pub fn restore(text: &str) -> Result<RunSnapshot, SnapshotError> {
 /// the same counter [`run_until`] uses (pass `u64::MAX` to run to the
 /// end). `observers` attach for the remainder of the run: a resumed
 /// serial run streams them the suffix only, while a resumed sharded
-/// run replays the *complete* buffered note stream at the final merge.
+/// run gives them the *complete* merged stream at the final merge,
+/// rebuilt by re-running every rank.
 /// Built-in collector state travels inside the snapshot either way, so
 /// the returned result, trace, and timeline are byte-identical to an
 /// uninterrupted run.

@@ -22,6 +22,12 @@
 //! Per-category ship flags ([`ShipFlags`]) keep the relay quiet when
 //! nobody consumes a category: a bare `run_sharded` with no observers
 //! and no trace/timeline recording ships no notes at all.
+//!
+//! The checkpoint executor (`runtime::snapshot`) uses the same relay
+//! with a `NoteSink` buffer instead of a channel. Its snapshots hold
+//! no notes and its legs run with no relay: at completion, if any
+//! category ships, every rank re-runs from its bootstrap to rebuild its
+//! stream.
 
 use super::partition::ShardSpec;
 use crate::events::{Event, TxId};
@@ -33,7 +39,7 @@ use crate::scenario::Scenario;
 use crate::trace::{TraceKind, TraceRecord};
 use nomc_units::SimTime;
 use std::collections::BTreeMap;
-use std::sync::mpsc::{Receiver, Sender, SyncSender};
+use std::sync::mpsc::{Receiver, SyncSender};
 
 /// Which note categories a run actually consumes, sampled once before
 /// the workers start. Categories nobody consumes are never shipped.
@@ -63,6 +69,11 @@ impl ShipFlags {
             thresholds: externals.iter().any(|o| o.wants_thresholds()),
             power: any,
         }
+    }
+
+    /// Whether any category ships at all.
+    pub(crate) fn any(self) -> bool {
+        self.events || self.trace || self.tx || self.thresholds || self.power
     }
 }
 
@@ -121,32 +132,23 @@ pub(crate) enum ShardMsg {
     },
 }
 
-/// Where a [`RelayObserver`] delivers its messages: the threaded
-/// executor's bounded channel (backpressure against the merger), or an
-/// unbounded one for the single-threaded checkpoint executor, where the
-/// consumer drains only after the producing leg finishes — a bounded
-/// channel would deadlock there.
-pub(crate) enum NoteSink {
+/// Where a [`RelayObserver`] delivers its notes: the threaded
+/// executor's bounded channel (backpressure against the merger), or a
+/// plain buffer for the checkpoint executor, which merges only once
+/// every rank has finished.
+enum NoteSink {
     /// Threaded lockstep execution (`shard::execute`).
     Bounded(SyncSender<ShardMsg>),
-    /// Buffered single-threaded execution (checkpointed legs).
-    Unbounded(Sender<ShardMsg>),
-}
-
-impl NoteSink {
-    fn send(&self, msg: ShardMsg) {
-        match self {
-            NoteSink::Bounded(tx) => tx.send(msg).expect("merger outlives the shard workers"),
-            NoteSink::Unbounded(tx) => tx.send(msg).expect("receiver outlives the leg"),
-        }
-    }
+    /// One rank's whole run, buffered for [`merge_logs`].
+    Buffer(Vec<Note>),
 }
 
 /// The per-shard observer: forwards each notification to the merger the
-/// moment it happens. Owns no shared state (plain channel sender), so
-/// it satisfies the observer-purity rule by construction.
+/// moment it happens. Owns no shared state (a plain channel sender or
+/// its own buffer), so it satisfies the observer-purity rule by
+/// construction.
 pub(crate) struct RelayObserver {
-    tx: NoteSink,
+    sink: NoteSink,
     ship: ShipFlags,
     seq: u64,
     /// Engine time of the last popped event — `on_abandon` carries no
@@ -156,31 +158,46 @@ pub(crate) struct RelayObserver {
 
 impl RelayObserver {
     pub(crate) fn new(tx: SyncSender<ShardMsg>, ship: ShipFlags) -> Self {
-        RelayObserver::resumed(NoteSink::Bounded(tx), ship, 0, SimTime::ZERO)
+        RelayObserver::with_sink(NoteSink::Bounded(tx), ship)
     }
 
-    /// A relay resuming an interrupted note stream: `seq` and `now`
-    /// continue from the values [`RelayObserver::seq`] /
-    /// [`RelayObserver::now`] reported when the stream paused, so the
-    /// canonical `(time, rank, seq)` merge key ordering spans legs.
-    pub(crate) fn resumed(tx: NoteSink, ship: ShipFlags, seq: u64, now: SimTime) -> Self {
-        RelayObserver { tx, ship, seq, now }
+    /// A relay that buffers its notes instead of sending them; collect
+    /// them with [`RelayObserver::into_notes`] once the rank's run ends.
+    pub(crate) fn buffered(ship: ShipFlags) -> Self {
+        RelayObserver::with_sink(NoteSink::Buffer(Vec::new()), ship)
     }
 
-    /// Notes emitted so far (the next note's merge-key `seq`).
-    pub(crate) fn seq(&self) -> u64 {
-        self.seq
+    fn with_sink(sink: NoteSink, ship: ShipFlags) -> Self {
+        RelayObserver {
+            sink,
+            ship,
+            seq: 0,
+            now: SimTime::ZERO,
+        }
     }
 
-    /// Engine time of the last relayed popped event.
-    pub(crate) fn now(&self) -> SimTime {
-        self.now
+    /// The buffered notes, in emission order (empty for a channel relay,
+    /// whose notes already went to the merger).
+    pub(crate) fn into_notes(self) -> Vec<Note> {
+        match self.sink {
+            NoteSink::Buffer(notes) => notes,
+            NoteSink::Bounded(_) => Vec::new(),
+        }
     }
 
     fn send(&mut self, at: SimTime, ev: BoundaryEvent) {
-        let seq = self.seq;
+        let note = Note {
+            at,
+            seq: self.seq,
+            ev,
+        };
         self.seq += 1;
-        self.tx.send(ShardMsg::Note(Box::new(Note { at, seq, ev })));
+        match &mut self.sink {
+            NoteSink::Bounded(tx) => tx
+                .send(ShardMsg::Note(Box::new(note)))
+                .expect("merger outlives the shard workers"),
+            NoteSink::Buffer(notes) => notes.push(note),
+        }
     }
 }
 
@@ -398,7 +415,8 @@ pub(crate) fn merge(
 
 /// Merges fully-buffered per-rank note logs — the checkpoint executor's
 /// counterpart of [`merge`], which drains live channels window by
-/// window.
+/// window. `logs` is empty when the run ships no category at all; the
+/// merge is then only the final assembly.
 ///
 /// Correctness of the single global sort: the canonical order is
 /// `(time, rank, seq)` applied window-by-window, and windows partition

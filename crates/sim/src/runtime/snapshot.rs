@@ -23,8 +23,12 @@
 //!
 //! Sharded runs snapshot as one [`ShardedSnapshot`]: the checkpoint
 //! executor runs the plan's components *sequentially* (rank order) on
-//! the same engines the threaded path uses, buffering relayed
-//! boundary notes per rank; at completion the buffered logs replay
+//! the same engines the threaded path uses, with no relay attached, so
+//! the snapshot holds per-rank engine state or results and nothing
+//! else. At completion, if the externals then attached or the
+//! scenario's recorders consume any note category, each rank's
+//! boundary-note stream is rebuilt by re-running that rank from its
+//! bootstrap (checked against its recorded result) and replayed
 //! through the same canonical `(time, rank, seq)` merge. Shards are
 //! fully independent — the partition unions everything that could
 //! interact — so sequential execution is behaviorally identical to the
@@ -34,9 +38,7 @@
 
 use super::node::{Node, Provider, RxAttempt};
 use super::shard;
-use super::shard::merge::{
-    merge_logs, BoundaryEvent, Note, NoteSink, RelayObserver, ShardMsg, ShipFlags,
-};
+use super::shard::merge::{merge_logs, Note, RelayObserver, ShipFlags};
 use super::shard::sync::split_budget;
 use super::tx::TxMeta;
 use super::Engine;
@@ -46,9 +48,7 @@ use crate::medium::Transmission;
 use crate::metrics::{ErrorRecord, LinkMetrics, SimResult, TimelineRecord, TxOutcome};
 use crate::rng::Xoshiro256StarStar;
 use crate::runtime::dispatch::LegEnd;
-use crate::runtime::observer::{
-    PowerSample, SimObserver, ThresholdSample, TxOutcomeInfo, TxStartInfo,
-};
+use crate::runtime::observer::SimObserver;
 use crate::scenario::Scenario;
 use crate::trace::TraceRecord;
 use nomc_core::AdjustorSnapshot;
@@ -60,7 +60,7 @@ use std::fmt;
 /// Version stamped into every serialized snapshot; bumped whenever the
 /// payload layout changes incompatibly. A mismatch is a typed
 /// [`SnapshotError::VersionSkew`], never a silent misread.
-pub(crate) const SNAPSHOT_VERSION: u64 = 1;
+pub(crate) const SNAPSHOT_VERSION: u64 = 2;
 
 /// Why a snapshot could not be decoded or re-attached to a scenario.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -726,127 +726,16 @@ impl<'a, 'o, 'e> Engine<'a, 'o, 'e> {
 }
 
 // ---------------------------------------------------------------------
-// Sharded snapshots: sequential checkpoint executor + buffered merge.
+// Sharded snapshots: sequential checkpoint executor + merge at the end.
 // ---------------------------------------------------------------------
-
-nomc_json::json_struct!(ShipFlags {
-    events: bool,
-    trace: bool,
-    tx: bool,
-    thresholds: bool,
-    power: bool,
-});
-
-nomc_json::json_struct!(TxStartInfo {
-    tx: TxId,
-    node: NodeId,
-    link: usize,
-    seq: u32,
-    forced: bool,
-    retry: bool,
-    measured: bool,
-    at: SimTime,
-    end: SimTime,
-});
-
-nomc_json::json_struct!(TxOutcomeInfo {
-    tx: TxId,
-    link: usize,
-    receiver: NodeId,
-    outcome: TxOutcome,
-    collided: bool,
-    duplicate: bool,
-    measured: bool,
-    start: SimTime,
-    end: SimTime,
-    error_record: Option<ErrorRecord>,
-});
-
-nomc_json::json_struct!(PowerSample {
-    node: NodeId,
-    link: usize,
-    reading: Dbm,
-    at: SimTime,
-});
-
-nomc_json::json_struct!(ThresholdSample {
-    node: NodeId,
-    link: usize,
-    threshold: Dbm,
-    at: SimTime,
-});
-
-impl ToJson for BoundaryEvent {
-    fn to_json(&self) -> Json {
-        match self {
-            BoundaryEvent::Popped(ev) => Json::object([("Popped", ev.to_json())]),
-            BoundaryEvent::Trace(record) => Json::object([("Trace", record.to_json())]),
-            BoundaryEvent::TxStart(info) => Json::object([("TxStart", info.to_json())]),
-            BoundaryEvent::TxOutcome(info) => Json::object([("TxOutcome", info.to_json())]),
-            BoundaryEvent::Abandon { link, measured } => Json::object([(
-                "Abandon",
-                Json::object([("link", link.to_json()), ("measured", measured.to_json())]),
-            )]),
-            BoundaryEvent::Threshold(sample) => Json::object([("Threshold", sample.to_json())]),
-            BoundaryEvent::Power(sample) => Json::object([("Power", sample.to_json())]),
-        }
-    }
-}
-
-impl FromJson for BoundaryEvent {
-    fn from_json(value: &Json) -> Result<Self, Error> {
-        let obj = value
-            .as_object()
-            .ok_or_else(|| Error::new("expected object for BoundaryEvent"))?;
-        let (tag, body) = obj
-            .iter()
-            .next()
-            .ok_or_else(|| Error::new("empty BoundaryEvent object"))?;
-        match tag {
-            "Popped" => Ok(BoundaryEvent::Popped(Event::from_json(body)?)),
-            "Trace" => Ok(BoundaryEvent::Trace(TraceRecord::from_json(body)?)),
-            "TxStart" => Ok(BoundaryEvent::TxStart(TxStartInfo::from_json(body)?)),
-            "TxOutcome" => Ok(BoundaryEvent::TxOutcome(Box::new(
-                TxOutcomeInfo::from_json(body)?,
-            ))),
-            "Abandon" => {
-                let b = body
-                    .as_object()
-                    .ok_or_else(|| Error::new("expected object for BoundaryEvent::Abandon"))?;
-                let field = |name: &str| {
-                    b.get(name).ok_or_else(|| {
-                        Error::new(format!("missing field `{name}` in BoundaryEvent::Abandon"))
-                    })
-                };
-                Ok(BoundaryEvent::Abandon {
-                    link: usize::from_json(field("link")?)?,
-                    measured: bool::from_json(field("measured")?)?,
-                })
-            }
-            "Threshold" => Ok(BoundaryEvent::Threshold(ThresholdSample::from_json(body)?)),
-            "Power" => Ok(BoundaryEvent::Power(PowerSample::from_json(body)?)),
-            other => Err(Error::new(format!("unknown BoundaryEvent tag `{other}`"))),
-        }
-    }
-}
-
-nomc_json::json_struct!(Note {
-    at: SimTime,
-    seq: u64,
-    ev: BoundaryEvent,
-});
 
 /// Where one shard rank stands in the sequential checkpoint executor.
 #[derive(Debug)]
 pub(crate) enum RankState {
     /// Not started yet (later ranks while an earlier one is paused).
     Fresh,
-    /// Mid-run: the rank's engine state plus its relay counters.
-    Paused {
-        engine: EngineSnapshot,
-        relay_seq: u64,
-        relay_now: SimTime,
-    },
+    /// Mid-run: the rank's engine state.
+    Paused { engine: EngineSnapshot },
     /// Finished; its result awaits the final merge.
     Done { result: SimResult, exhausted: bool },
 }
@@ -855,18 +744,9 @@ impl ToJson for RankState {
     fn to_json(&self) -> Json {
         match self {
             RankState::Fresh => Json::object([("fresh", Json::Null)]),
-            RankState::Paused {
-                engine,
-                relay_seq,
-                relay_now,
-            } => Json::object([(
-                "paused",
-                Json::object([
-                    ("engine", engine.to_json()),
-                    ("relay_seq", relay_seq.to_json()),
-                    ("relay_now", relay_now.to_json()),
-                ]),
-            )]),
+            RankState::Paused { engine } => {
+                Json::object([("paused", Json::object([("engine", engine.to_json())]))])
+            }
             RankState::Done { result, exhausted } => Json::object([(
                 "done",
                 Json::object([
@@ -896,8 +776,6 @@ impl FromJson for RankState {
             "fresh" => Ok(RankState::Fresh),
             "paused" => Ok(RankState::Paused {
                 engine: EngineSnapshot::from_json(field("engine")?)?,
-                relay_seq: u64::from_json(field("relay_seq")?)?,
-                relay_now: SimTime::from_json(field("relay_now")?)?,
             }),
             "done" => Ok(RankState::Done {
                 result: SimResult::from_json(field("result")?)?,
@@ -908,53 +786,34 @@ impl FromJson for RankState {
     }
 }
 
-/// A paused sharded run: per-rank progress plus the buffered boundary
-/// notes that the final canonical merge will replay.
+/// A paused sharded run: per-rank progress and nothing else. Relayed
+/// notes are not kept — the final merge rebuilds them (see
+/// `run_sharded_leg`) — so the snapshot stays proportional to live
+/// engine state rather than to the run's history.
 #[derive(Debug)]
 pub struct ShardedSnapshot {
     pub(crate) fingerprint: u64,
-    pub(crate) ship: ShipFlags,
     pub(crate) max_events: u64,
     pub(crate) ranks: Vec<RankState>,
-    pub(crate) logs: Vec<Vec<Note>>,
 }
 
 nomc_json::json_struct!(ShardedSnapshot {
     fingerprint: u64,
-    ship: ShipFlags,
     max_events: u64,
     ranks: Vec<RankState>,
-    logs: Vec<Vec<Note>>,
 });
 
 impl ShardedSnapshot {
     /// The starting state of a checkpointed sharded run: every rank
-    /// fresh, no notes buffered. Unlike the threaded path — which
-    /// samples [`ShipFlags::for_run`] against the observers attached
-    /// for the whole run — a checkpointed run cannot know what
-    /// observers later legs will attach, so it ships *every* note
-    /// category. Replay gates nothing (gating happens at emission), so
-    /// the externals present at the final merge see the complete
-    /// stream, byte-identical to a threaded run with those observers
-    /// attached throughout.
+    /// fresh.
     pub(crate) fn fresh(sc: &Scenario, max_events: u64, shards: usize) -> Self {
         ShardedSnapshot {
             fingerprint: scenario_fingerprint(sc),
-            ship: ShipFlags {
-                events: true,
-                trace: true,
-                tx: true,
-                thresholds: true,
-                power: true,
-            },
             max_events,
             ranks: (0..shards).map(|_| RankState::Fresh).collect(),
-            logs: (0..shards).map(|_| Vec::new()).collect(),
         }
     }
-}
 
-impl ShardedSnapshot {
     /// Replaces the persisted total event budget, re-splitting it over
     /// the ranks exactly as a fresh bounded run would (earlier ranks
     /// take the remainder). Ranks already done keep their results —
@@ -963,7 +822,7 @@ impl ShardedSnapshot {
         self.max_events = max_events;
         let budgets = split_budget(max_events, self.ranks.len());
         for (state, budget) in self.ranks.iter_mut().zip(budgets) {
-            if let RankState::Paused { engine, .. } = state {
+            if let RankState::Paused { engine } = state {
                 engine.max_events = budget;
             }
         }
@@ -984,13 +843,87 @@ enum RankLeg {
     Over(SimResult, bool),
 }
 
+/// A rank's engine scenario with the heavyweight recorders off, exactly
+/// like the threaded executor's workers: the merge rebuilds the trace
+/// and timeline from relayed notes.
+fn rank_scenario(spec: &shard::ShardSpec) -> Scenario {
+    let mut sub = spec.scenario.clone();
+    sub.record_trace = false;
+    sub.record_timeline = false;
+    sub
+}
+
+/// Runs a (fresh or restored) rank engine until `target` events or the
+/// end of its run.
+fn advance(mut engine: Engine<'_, '_, '_>, target: u64) -> RankLeg {
+    match engine.run_leg(target) {
+        LegEnd::Paused => RankLeg::Paused(engine.capture()),
+        LegEnd::Over => {
+            let exhausted = engine.exhausted;
+            RankLeg::Over(engine.finalize(), exhausted)
+        }
+    }
+}
+
+/// Starts a rank from its bootstrap under `budget` and runs it until
+/// `target` events or the end of its run.
+fn start(
+    sub: &Scenario,
+    observers: &mut [&mut dyn SimObserver],
+    budget: u64,
+    target: u64,
+) -> RankLeg {
+    let mut engine = Engine::new(sub, observers);
+    engine.max_events = budget;
+    engine.bootstrap();
+    advance(engine, target)
+}
+
+/// Rebuilds a finished rank's note stream under `ship` by re-running it
+/// from its bootstrap with a relay attached, and checks the re-run
+/// against the recorded result.
+///
+/// The re-run's budget is the recorded event count: a run that ended
+/// naturally (drained queue or drain deadline) stops before the budget
+/// check, and an exhausted one stopped exactly at its budget, so that
+/// one number reproduces either ending — whatever budget changes the
+/// rank went through while paused.
+fn rebuild_notes(
+    rank: usize,
+    spec: &shard::ShardSpec,
+    done: &SimResult,
+    exhausted: bool,
+    ship: ShipFlags,
+) -> Result<Vec<Note>, SnapshotError> {
+    let mut relay = RelayObserver::buffered(ship);
+    let rerun = start(
+        &rank_scenario(spec),
+        &mut [&mut relay],
+        done.events,
+        u64::MAX,
+    );
+    match rerun {
+        RankLeg::Over(result, again) if result == *done && again == exhausted => {
+            Ok(relay.into_notes())
+        }
+        RankLeg::Over(..) | RankLeg::Paused(_) => Err(SnapshotError::Malformed(format!(
+            "rank {rank}: re-run diverged from the recorded result"
+        ))),
+    }
+}
+
 /// Advances a checkpointed sharded run until the *global* event count
 /// (summed over ranks) reaches `pause_after`, or to completion.
 ///
 /// Ranks run sequentially in rank order, each on the same engine and
-/// with the same per-rank budget split the threaded executor uses;
-/// relayed notes buffer per rank and replay through the canonical merge
-/// once every rank is done. Shards are fully independent, so the
+/// with the same per-rank budget split the threaded executor uses, and
+/// with no relay attached — exactly like an unobserved serial run — so
+/// a snapshot carries only engine state. Once every rank is done, the
+/// externals present at that point decide which note categories the
+/// merge needs ([`ShipFlags::for_run`], as in the threaded path). If
+/// none, the merge is only the final assembly. Otherwise each rank's
+/// note stream is rebuilt by re-running it (see [`rebuild_notes`]) and
+/// replayed through the canonical `(time, rank, seq)` merge. Shards are fully independent, so the
 /// sequential schedule is behaviorally identical to the lockstep thread
 /// pool and the merged output is byte-identical to
 /// [`crate::engine::run_sharded`].
@@ -1008,7 +941,7 @@ pub(crate) fn run_sharded_leg(
         });
     }
     let plan = shard::plan(sc);
-    if snap.ranks.len() != plan.len() || snap.logs.len() != plan.len() {
+    if snap.ranks.len() != plan.len() {
         return Err(SnapshotError::Malformed(format!(
             "snapshot has {} ranks, plan has {}",
             snap.ranks.len(),
@@ -1025,70 +958,22 @@ pub(crate) fn run_sharded_leg(
         })
         .sum();
     for (rank, spec) in plan.iter().enumerate() {
-        if matches!(snap.ranks[rank], RankState::Done { .. }) {
-            continue;
-        }
-        // Worker-local copy with the heavyweight recorders off, exactly
-        // like the threaded executor: the merge rebuilds the trace and
-        // timeline from relayed notes.
-        let mut sub = spec.scenario.clone();
-        sub.record_trace = false;
-        sub.record_timeline = false;
-        let state = std::mem::replace(&mut snap.ranks[rank], RankState::Fresh);
-        let (tx, rx) = std::sync::mpsc::channel();
-        let (mut relay, paused_engine) = match state {
-            RankState::Paused {
-                engine,
-                relay_seq,
-                relay_now,
-            } => (
-                RelayObserver::resumed(NoteSink::Unbounded(tx), snap.ship, relay_seq, relay_now),
-                Some(engine),
-            ),
-            RankState::Fresh | RankState::Done { .. } => (
-                RelayObserver::resumed(NoteSink::Unbounded(tx), snap.ship, 0, SimTime::ZERO),
-                None,
-            ),
-        };
         let target = if pause_after == u64::MAX {
             u64::MAX
         } else {
             pause_after.saturating_sub(done_events)
         };
-        let leg = {
-            let mut slots: [&mut dyn SimObserver; 1] = [&mut relay];
-            let mut engine = match &paused_engine {
-                Some(es) => Engine::restore_from(&sub, &mut slots, es)?,
-                None => {
-                    let mut e = Engine::new(&sub, &mut slots);
-                    e.max_events = budgets[rank];
-                    e.bootstrap();
-                    e
-                }
-            };
-            match engine.run_leg(target) {
-                LegEnd::Paused => RankLeg::Paused(engine.capture()),
-                LegEnd::Over => {
-                    let exhausted = engine.exhausted;
-                    RankLeg::Over(engine.finalize(), exhausted)
-                }
-            }
+        let leg = match &snap.ranks[rank] {
+            RankState::Done { .. } => continue,
+            RankState::Paused { engine } => advance(
+                Engine::restore_from(&rank_scenario(spec), &mut [], engine)?,
+                target,
+            ),
+            RankState::Fresh => start(&rank_scenario(spec), &mut [], budgets[rank], target),
         };
-        let relay_seq = relay.seq();
-        let relay_now = relay.now();
-        drop(relay);
-        while let Ok(msg) = rx.try_recv() {
-            if let ShardMsg::Note(note) = msg {
-                snap.logs[rank].push(*note);
-            }
-        }
         match leg {
             RankLeg::Paused(engine) => {
-                snap.ranks[rank] = RankState::Paused {
-                    engine,
-                    relay_seq,
-                    relay_now,
-                };
+                snap.ranks[rank] = RankState::Paused { engine };
                 return Ok(ShardedProgress::Paused(snap));
             }
             RankLeg::Over(result, exhausted) => {
@@ -1108,7 +993,14 @@ pub(crate) fn run_sharded_leg(
             }
         }
     }
-    let (result, exhausted) = merge_logs(sc, &plan, snap.logs, results, externals);
+    let ship = ShipFlags::for_run(sc, externals);
+    let mut logs = Vec::new();
+    if ship.any() {
+        for (rank, (result, exhausted)) in results.iter().enumerate() {
+            logs.push(rebuild_notes(rank, &plan[rank], result, *exhausted, ship)?);
+        }
+    }
+    let (result, exhausted) = merge_logs(sc, &plan, logs, results, externals);
     Ok(ShardedProgress::Done(result, exhausted))
 }
 

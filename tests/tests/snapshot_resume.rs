@@ -347,14 +347,174 @@ fn snapshot_rejects_version_skew() {
         engine::RunProgress::Done(_) => panic!("must pause"),
     };
     let text = engine::snapshot(&paused);
-    let skewed = text.replacen("\"version\":1", "\"version\":999", 1);
+    let skewed = text.replacen("\"version\":2", "\"version\":999", 1);
     assert_ne!(text, skewed, "wire format must carry the version field");
     match engine::restore(&skewed) {
         Err(engine::SnapshotError::VersionSkew { found, expected }) => {
             assert_eq!(found, 999);
-            assert_eq!(expected, 1);
+            assert_eq!(expected, 2);
         }
         other => panic!("expected VersionSkew, got {other:?}"),
+    }
+}
+
+#[test]
+fn version_one_sharded_snapshots_are_version_skew() {
+    // Version 1 sharded payloads buffered every relayed note from event
+    // zero; version 2 dropped them. An old checkpoint must be refused
+    // typed (the sweep supervisor then re-runs the member clean), never
+    // misread.
+    let old = concat!(
+        r#"{"version":1,"kind":"sharded","payload":{"fingerprint":1,"#,
+        r#""ship":{"events":true,"trace":true,"tx":true,"thresholds":true,"power":true},"#,
+        r#""max_events":100,"ranks":[{"fresh":null},{"fresh":null}],"logs":[[],[]]}}"#
+    );
+    match engine::restore(old) {
+        Err(engine::SnapshotError::VersionSkew { found, expected }) => {
+            assert_eq!((found, expected), (1, 2));
+        }
+        other => panic!("expected VersionSkew, got {other:?}"),
+    }
+}
+
+/// Pauses a sharded run after `pause_after` events and returns the
+/// snapshot's wire size.
+fn sharded_snapshot_len(sc: &Scenario, pause_after: u64) -> usize {
+    match engine::run_sharded_until(sc, &mut [], u64::MAX, pause_after) {
+        engine::RunProgress::Paused(p) => engine::snapshot(&p).len(),
+        engine::RunProgress::Done(_) => panic!("must pause at event {pause_after}"),
+    }
+}
+
+#[test]
+fn sharded_snapshots_stay_proportional_to_live_state() {
+    // A sharded snapshot holds per-rank engine state and finished
+    // ranks' results, not the run's history: one taken three times as
+    // far into the run must not be anywhere near three times larger.
+    let sc = partitionable_scenario(4, 42);
+    let events = engine::run_sharded(&sc, 1).events;
+    let early = sharded_snapshot_len(&sc, events / 4);
+    let late = sharded_snapshot_len(&sc, 3 * events / 4);
+    let (small, large) = (early.min(late), early.max(late));
+    assert!(
+        large < 2 * small,
+        "snapshot at events/4 is {early} B, at 3·events/4 {late} B"
+    );
+}
+
+/// Records every callback like [`StreamLog`], but wants neither traces
+/// nor threshold changes: a run must not deliver those categories.
+#[derive(Default)]
+struct UninterestedLog(Vec<String>);
+
+impl SimObserver for UninterestedLog {
+    fn on_event(&mut self, now: SimTime, event: &Event) {
+        self.0.push(format!("event {now:?} {event:?}"));
+    }
+    fn on_trace(&mut self, record: &TraceRecord) {
+        self.0.push(format!("trace {record:?}"));
+    }
+    fn on_tx_start(&mut self, info: &TxStartInfo) {
+        self.0.push(format!("tx_start {info:?}"));
+    }
+    fn on_tx_outcome(&mut self, info: &TxOutcomeInfo) {
+        self.0.push(format!("tx_outcome {info:?}"));
+    }
+    fn on_abandon(&mut self, link: usize, measured: bool) {
+        self.0.push(format!("abandon {link} {measured}"));
+    }
+    fn on_threshold_change(&mut self, sample: &ThresholdSample) {
+        self.0.push(format!("threshold {sample:?}"));
+    }
+    fn on_power_sample(&mut self, sample: &PowerSample) {
+        self.0.push(format!("power {sample:?}"));
+    }
+}
+
+#[test]
+fn sharded_resume_honours_observer_category_gating() {
+    let mut sc = partitionable_scenario(4, 42);
+    sc.record_trace = false;
+    let mut baseline_log = UninterestedLog::default();
+    let baseline = engine::run_sharded_with(&sc, &mut [&mut baseline_log], 4);
+    assert!(
+        !baseline_log.0.iter().any(|l| l.starts_with("trace ")),
+        "the threaded run must not deliver unwanted traces"
+    );
+    let paused = match engine::run_sharded_until(&sc, &mut [], u64::MAX, baseline.events / 2) {
+        engine::RunProgress::Paused(p) => p,
+        engine::RunProgress::Done(_) => panic!("must pause mid-run"),
+    };
+    let restored = engine::restore(&engine::snapshot(&paused)).expect("round-trips");
+    let mut resumed_log = UninterestedLog::default();
+    let resumed = match engine::resume_bounded(&sc, restored, &mut [&mut resumed_log], u64::MAX)
+        .expect("resumes")
+    {
+        engine::RunProgress::Done(done) => done.result,
+        engine::RunProgress::Paused(_) => panic!("unbounded resume cannot pause"),
+    };
+    assert_eq!(bytes(&resumed), bytes(&baseline));
+    assert_eq!(
+        resumed_log.0, baseline_log.0,
+        "resumed observer stream differs from the threaded run's"
+    );
+}
+
+#[test]
+fn sharded_budget_truncated_resume_rebuilds_the_observer_stream() {
+    // Ranks that exhausted their budget share before the pause are
+    // re-run at completion to rebuild their notes; the merged stream
+    // must still match the uninterrupted bounded run's.
+    let sc = partitionable_scenario(4, 42);
+    let budget = engine::run_sharded(&sc, 1).events / 2;
+    let mut baseline_log = StreamLog::default();
+    let baseline = engine::run_sharded_bounded(&sc, &mut [&mut baseline_log], budget, 4);
+    assert!(
+        baseline.exhausted,
+        "half the natural event count must truncate"
+    );
+    let paused = match engine::run_sharded_until(&sc, &mut [], budget, budget / 3) {
+        engine::RunProgress::Paused(p) => p,
+        engine::RunProgress::Done(_) => panic!("must pause before the budget"),
+    };
+    let restored = engine::restore(&engine::snapshot(&paused)).expect("round-trips");
+    let mut resumed_log = StreamLog::default();
+    let resumed = match engine::resume_bounded(&sc, restored, &mut [&mut resumed_log], u64::MAX)
+        .expect("resumes")
+    {
+        engine::RunProgress::Done(done) => done,
+        engine::RunProgress::Paused(_) => panic!("unbounded resume cannot pause"),
+    };
+    assert!(resumed.exhausted, "budget must survive the snapshot");
+    assert_eq!(bytes(&resumed.result), bytes(&baseline.result));
+    assert_eq!(resumed_log.0, baseline_log.0);
+}
+
+#[test]
+fn tampered_finished_rank_fails_typed_at_the_rebuild() {
+    // Pause once rank 0 is done, then alter its recorded result: the
+    // re-run that rebuilds its notes must notice, as a typed error.
+    let sc = partitionable_scenario(4, 42);
+    let events = engine::run_sharded(&sc, 1).events;
+    let paused = match engine::run_sharded_until(&sc, &mut [], u64::MAX, events / 2) {
+        engine::RunProgress::Paused(p) => p,
+        engine::RunProgress::Done(_) => panic!("must pause mid-run"),
+    };
+    let text = engine::snapshot(&paused);
+    let done = text
+        .find("\"done\"")
+        .expect("rank 0 finished before the pause");
+    let sent = done
+        + text[done..]
+            .find("\"sent\":")
+            .expect("result has link counters");
+    let digits = sent + "\"sent\":".len();
+    let tampered = format!("{}9{}", &text[..digits], &text[digits..]);
+    let restored = engine::restore(&tampered).expect("still well-formed JSON");
+    let mut log = StreamLog::default();
+    match engine::resume_bounded(&sc, restored, &mut [&mut log], u64::MAX) {
+        Err(engine::SnapshotError::Malformed(msg)) => assert!(msg.contains("rank 0"), "{msg}"),
+        other => panic!("expected Malformed, got {other:?}"),
     }
 }
 
