@@ -54,6 +54,16 @@ cargo test -p nomc-integration-tests --test shard_determinism -q --offline
 echo "==> ext_fault_recovery smoke (quick sweep must recover at every duty)"
 cargo run -p nomc-experiments --release --offline --bin fault_recovery -- --quick
 
+echo "==> paper golden: all_experiments --quick --json matches the committed fixture byte for byte"
+# tests/fixtures/paper_quick.json pins every number of the quick paper
+# run; any change to a simulated result or a report's formatting shows
+# up here as a byte difference.
+PAPER_JSON="$(mktemp)"
+./target/release/all_experiments --quick --json "$PAPER_JSON" > /dev/null
+cmp "$PAPER_JSON" tests/fixtures/paper_quick.json \
+  || { echo "paper run drifted from tests/fixtures/paper_quick.json"; exit 1; }
+rm -f "$PAPER_JSON"
+
 echo "==> serve smoke (submit, wait, resubmit hits cache, SIGTERM drains)"
 # Live end-to-end pass over the results server: a job submitted twice
 # must come back byte-identical without re-simulating, and SIGTERM must

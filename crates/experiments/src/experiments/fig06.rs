@@ -30,35 +30,69 @@ pub struct SweepPoint {
 
 /// Runs the sweep at the given link power.
 pub fn sweep(cfg: &ExpConfig, link_power: Dbm) -> Vec<SweepPoint> {
-    common::cca_sweep()
-        .into_iter()
-        .map(|thr| {
-            let results = runner::run_seeds(cfg, |seed| {
-                common::fig5_scenario(Dbm::new(thr), link_power, seed).0
-            });
-            let link_idx = common::fig5_scenario(Dbm::new(thr), link_power, 0).1;
-            let n = results.len() as f64;
-            let mut sent = 0.0;
-            let mut received = 0.0;
-            let mut overall = 0.0;
-            for r in &results {
-                let link = r
-                    .links
-                    .iter()
-                    .find(|l| l.network == link_idx)
-                    .expect("link present");
-                sent += link.send_rate(r.measured);
-                received += link.throughput(r.measured);
-                overall += r.total_throughput();
+    sweeps(cfg, &[link_power])
+        .pop()
+        .expect("one sweep per power")
+}
+
+/// Runs the sweep at every power of `powers`, returning one sweep per
+/// power in order.
+///
+/// The whole grid (powers × thresholds × seeds) is one
+/// [`runner::run_batch`], so the thresholds below the register floor
+/// simulate once and no per-point barrier idles the pool. Each point
+/// sums its seeds in seed order, exactly as a per-point run would.
+pub fn sweeps(cfg: &ExpConfig, powers: &[Dbm]) -> Vec<Vec<SweepPoint>> {
+    let thresholds = common::cca_sweep();
+    let link_idx = common::fig5_scenario(Dbm::new(-77.0), Dbm::new(0.0), 0).1;
+    let mut members = Vec::new();
+    for &power in powers {
+        for &thr in &thresholds {
+            for &seed in &cfg.seeds {
+                let sc = common::fig5_scenario(Dbm::new(thr), power, seed).0;
+                members.push(runner::seeded(cfg, sc, seed));
             }
-            let (sent, received, overall) = (sent / n, received / n, overall / n);
-            SweepPoint {
-                threshold: thr,
-                sent,
-                received,
-                prr: if sent > 0.0 { received / sent } else { 0.0 },
-                overall,
-            }
+        }
+    }
+    // Per member: the link's sent and received rates and the
+    // all-network throughput.
+    let summaries = runner::run_batch(&members, |_, r| {
+        let link = r
+            .links
+            .iter()
+            .find(|l| l.network == link_idx)
+            .expect("link present");
+        (
+            link.send_rate(r.measured),
+            link.throughput(r.measured),
+            r.total_throughput(),
+        )
+    });
+    let n = cfg.seeds.len();
+    (0..powers.len())
+        .map(|pi| {
+            thresholds
+                .iter()
+                .enumerate()
+                .map(|(ti, &thr)| {
+                    let first = (pi * thresholds.len() + ti) * n;
+                    let (mut sent, mut received, mut overall) = (0.0, 0.0, 0.0);
+                    for &(s, rx, all) in &summaries[first..first + n] {
+                        sent += s;
+                        received += rx;
+                        overall += all;
+                    }
+                    let n = n as f64;
+                    let (sent, received, overall) = (sent / n, received / n, overall / n);
+                    SweepPoint {
+                        threshold: thr,
+                        sent,
+                        received,
+                        prr: if sent > 0.0 { received / sent } else { 0.0 },
+                        overall,
+                    }
+                })
+                .collect()
         })
         .collect()
 }
@@ -134,13 +168,16 @@ mod tests {
     fn clamped_region_is_flat() {
         let cfg = ExpConfig::quick();
         let points = sweep(&cfg, Dbm::new(0.0));
-        let a = points.iter().find(|p| p.threshold == -120.0).unwrap();
-        let b = points.iter().find(|p| p.threshold == -100.0).unwrap();
-        assert!(
-            (a.sent - b.sent).abs() < 1.0,
-            "clamp should make −120 and −100 identical: {} vs {}",
-            a.sent,
-            b.sent
-        );
+        // The register floor is −95 dBm: every level at or below it
+        // runs the same simulation, so the whole point (apart from the
+        // requested threshold) is identical — the batch's run-key dedup
+        // rests on this.
+        let at = |thr: f64| SweepPoint {
+            threshold: 0.0,
+            ..*points.iter().find(|p| p.threshold == thr).unwrap()
+        };
+        for thr in [-120.0, -100.0] {
+            assert_eq!(at(thr), at(-95.0), "{thr} dBm vs the −95 dBm floor");
+        }
     }
 }

@@ -12,26 +12,39 @@ use nomc_phy::{LogDistance, PathLoss};
 use nomc_units::Dbm;
 
 /// The sweep with co-channel links present (link at 0 dBm).
+///
+/// The whole grid (thresholds × seeds) is one [`runner::run_batch`];
+/// each point sums its seeds in seed order.
 pub fn sweep(cfg: &ExpConfig) -> Vec<(f64, f64, f64)> {
-    common::cca_sweep()
-        .into_iter()
-        .map(|thr| {
-            let results = runner::run_seeds(cfg, |seed| {
-                common::fig8_scenario(Dbm::new(thr), Dbm::new(0.0), seed).0
-            });
-            let link_idx = common::fig8_scenario(Dbm::new(thr), Dbm::new(0.0), 0).1;
-            let n = results.len() as f64;
-            let mut sent = 0.0;
-            let mut received = 0.0;
-            for r in &results {
-                let link = r
-                    .links
-                    .iter()
-                    .find(|l| l.network == link_idx && l.link_in_network == 0)
-                    .expect("link of interest present");
-                sent += link.send_rate(r.measured);
-                received += link.throughput(r.measured);
+    let thresholds = common::cca_sweep();
+    let link_idx = common::fig8_scenario(Dbm::new(-77.0), Dbm::new(0.0), 0).1;
+    let mut members = Vec::new();
+    for &thr in &thresholds {
+        for &seed in &cfg.seeds {
+            let sc = common::fig8_scenario(Dbm::new(thr), Dbm::new(0.0), seed).0;
+            members.push(runner::seeded(cfg, sc, seed));
+        }
+    }
+    // Per member: the link of interest's sent and received rates.
+    let summaries = runner::run_batch(&members, |_, r| {
+        let link = r
+            .links
+            .iter()
+            .find(|l| l.network == link_idx && l.link_in_network == 0)
+            .expect("link of interest present");
+        (link.send_rate(r.measured), link.throughput(r.measured))
+    });
+    let n = cfg.seeds.len();
+    thresholds
+        .iter()
+        .enumerate()
+        .map(|(ti, &thr)| {
+            let (mut sent, mut received) = (0.0, 0.0);
+            for &(s, rx) in &summaries[ti * n..(ti + 1) * n] {
+                sent += s;
+                received += rx;
             }
+            let n = n as f64;
             (thr, sent / n, received / n)
         })
         .collect()

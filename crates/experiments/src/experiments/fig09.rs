@@ -22,10 +22,7 @@ pub fn run(cfg: &ExpConfig) -> Vec<Report> {
         columns9.push(format!("tput@{p}dBm"));
         columns10.push(format!("PRR@{p}dBm"));
     }
-    let sweeps: Vec<Vec<fig06::SweepPoint>> = POWERS
-        .iter()
-        .map(|&p| fig06::sweep(cfg, Dbm::new(p)))
-        .collect();
+    let sweeps = fig06::sweeps(cfg, &POWERS.map(Dbm::new));
     let col9: Vec<&str> = columns9.iter().map(String::as_str).collect();
     let col10: Vec<&str> = columns10.iter().map(String::as_str).collect();
     let mut fig9 = Report::new(

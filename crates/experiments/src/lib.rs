@@ -1,7 +1,7 @@
 //! # nomc-experiments
 //!
-//! The reproduction harness: one module (and one runnable binary) per
-//! table/figure of *"Design of Non-orthogonal Multi-channel Sensor
+//! The reproduction harness: one module per table/figure (or group of
+//! related figures) of *"Design of Non-orthogonal Multi-channel Sensor
 //! Networks"* (ICDCS 2010), plus ablations of the reproduction's own
 //! design choices.
 //!
@@ -11,8 +11,8 @@
 //!   fidelity), deterministic for a given config,
 //! * it returns a [`report::Report`] — a table of measured values next
 //!   to the paper's reported values, with commentary notes,
-//! * `cargo run -p nomc-experiments --bin <id>` prints it, and
-//!   `--bin all_experiments` regenerates the whole evaluation section.
+//! * `cargo run -p nomc-experiments --bin all_experiments` regenerates
+//!   the whole evaluation section, and `-- --only <id>` one report of it.
 //!
 //! # Examples
 //!

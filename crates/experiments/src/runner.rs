@@ -3,9 +3,13 @@
 //! Every sweep point (a scenario at one parameter value and one seed) is
 //! an independent deterministic simulation, so the harness parallelizes
 //! across points while each simulation itself stays single-threaded and
-//! reproducible. All batch entry points share one parallel-execution
-//! path: the work-stealing [`crate::sweep::scheduler`], whose
-//! slot-ordered results are bit-identical for any thread count.
+//! reproducible. Every batch goes through [`run_batch`]: it simulates
+//! each distinct member once (by [`nomc_sim::engine::run_key`]), reduces
+//! each result to the caller's summary inside the worker, and runs on
+//! the work-stealing [`crate::sweep::scheduler`], whose slot-ordered
+//! results are bit-identical for any thread count. [`run_parallel`] and
+//! [`run_seeds`] are thin uses of it; a sweep that submits its whole
+//! grid as one batch has no barrier between its points.
 //!
 //! Batch robustness: [`run_outcomes`] isolates each member behind
 //! `catch_unwind` and a deterministic event budget, so one panicking or
@@ -14,8 +18,10 @@
 //! never wall-clock time — so a truncated member is exactly as
 //! reproducible as a completed one.
 
+use crate::sweep::hash::fnv1a;
 use crate::ExpConfig;
 use nomc_sim::{engine, Scenario, SimObserver, SimResult};
+use std::collections::BTreeMap;
 
 /// Mean and (population) standard deviation of a sample.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -62,6 +68,15 @@ impl Stat {
     }
 }
 
+/// `sc` as the member for `seed` of `cfg`: the config's duration and
+/// warmup, and the seed, applied on top of the scenario's own values.
+pub fn seeded(cfg: &ExpConfig, mut sc: Scenario, seed: u64) -> Scenario {
+    sc.duration = cfg.duration;
+    sc.warmup = cfg.warmup;
+    sc.seed = seed;
+    sc
+}
+
 /// Runs `make_scenario(seed)` for every seed of `cfg`, in parallel, and
 /// returns the results in seed order.
 ///
@@ -74,28 +89,99 @@ where
     let scenarios: Vec<Scenario> = cfg
         .seeds
         .iter()
-        .map(|&s| {
-            let mut sc = make_scenario(s);
-            sc.duration = cfg.duration;
-            sc.warmup = cfg.warmup;
-            sc.seed = s;
-            sc
-        })
+        .map(|&s| seeded(cfg, make_scenario(s), s))
         .collect();
     run_parallel(&scenarios)
 }
 
-/// Runs a batch of scenarios in parallel on the work-stealing
-/// scheduler ([`crate::sweep::scheduler`]), preserving order.
-///
-/// Results are slot-ordered, so they are bit-identical for any thread
-/// count; only wall-clock completion order varies.
+/// Runs a batch of scenarios in parallel and returns their results in
+/// order: [`run_batch`] with the whole result as the summary.
 pub fn run_parallel(scenarios: &[Scenario]) -> Vec<SimResult> {
-    crate::sweep::scheduler::run_indexed(
-        scenarios.len(),
+    run_batch(scenarios, |_, result| result)
+}
+
+/// The batch primitive: runs every member of `scenarios` and returns
+/// `reduce`'s summary of each, in member (slot) order.
+///
+/// * Members with equal [`engine::run_key`]s simulate once. The key's
+///   contract (equal keys run to equal results) makes the repeat
+///   redundant; a CCA-threshold sweep point below the register floor
+///   is such a repeat of the floor point.
+/// * `reduce(slot, result)` runs inside the worker, so a batch holds one
+///   summary per member rather than every [`SimResult`] at once. It is
+///   called once per distinct key, with the first slot holding that
+///   key, and every later slot of the key receives a clone of the
+///   summary. A reducer that reads `slot` must therefore give the same
+///   summary for every slot of one key.
+///
+/// Distinct members run on the work-stealing scheduler
+/// ([`crate::sweep::scheduler`]) with no barrier between them. Summaries
+/// land in their slots, so the output is bit-identical for any thread
+/// count; only wall-clock completion order varies.
+pub fn run_batch<T, R>(scenarios: &[Scenario], reduce: R) -> Vec<T>
+where
+    T: Clone + Send,
+    R: Fn(usize, SimResult) -> T + Sync,
+{
+    run_batch_on(
+        scenarios,
         crate::sweep::scheduler::default_threads(),
-        |i| engine::run(&scenarios[i]),
+        reduce,
     )
+}
+
+/// [`run_batch`] on `threads` workers.
+fn run_batch_on<T, R>(scenarios: &[Scenario], threads: usize, reduce: R) -> Vec<T>
+where
+    T: Clone + Send,
+    R: Fn(usize, SimResult) -> T + Sync,
+{
+    // `firsts[d]` is the first slot of distinct key `d`; `class[slot]`
+    // is the slot's `d`. Keys meet through their FNV-1a hash and are
+    // compared in full on a hash match, so one key string (a few kB of
+    // JSON) is alive at a time rather than one per member.
+    let mut firsts: Vec<usize> = Vec::new();
+    let mut class: Vec<usize> = Vec::with_capacity(scenarios.len());
+    let mut by_hash: BTreeMap<u64, Vec<usize>> = BTreeMap::new();
+    for (slot, sc) in scenarios.iter().enumerate() {
+        let key = engine::run_key(sc);
+        let same_hash = by_hash.entry(fnv1a(key.as_bytes())).or_default();
+        let d = match same_hash
+            .iter()
+            .find(|&&d| engine::run_key(&scenarios[firsts[d]]) == key)
+        {
+            Some(&d) => d,
+            None => {
+                firsts.push(slot);
+                same_hash.push(firsts.len() - 1);
+                firsts.len() - 1
+            }
+        };
+        class.push(d);
+    }
+    let summaries = crate::sweep::scheduler::run_indexed(firsts.len(), threads, |d| {
+        let slot = firsts[d];
+        reduce(slot, engine::run(&scenarios[slot]))
+    });
+    // Every slot but a key's last gets a clone; the last takes the
+    // summary itself.
+    let mut remaining = vec![0usize; firsts.len()];
+    for &d in &class {
+        remaining[d] += 1;
+    }
+    let mut summaries: Vec<Option<T>> = summaries.into_iter().map(Some).collect();
+    class
+        .iter()
+        .map(|&d| {
+            remaining[d] -= 1;
+            let summary = if remaining[d] == 0 {
+                summaries[d].take()
+            } else {
+                summaries[d].clone()
+            };
+            summary.expect("a key's summary is taken only by its last slot")
+        })
+        .collect()
 }
 
 /// How one member of an isolated batch ([`run_outcomes`]) ended.
@@ -205,8 +291,10 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nomc_sim::ThresholdMode;
     use nomc_topology::{paper, spectrum::ChannelPlan};
     use nomc_units::{Dbm, Megahertz};
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn scenario(seed: u64) -> Scenario {
         let plan = ChannelPlan::with_count(Megahertz::new(2460.0), Megahertz::new(5.0), 1);
@@ -248,6 +336,55 @@ mod tests {
         assert_eq!(a.len(), 3);
         // Different seeds really produce different runs.
         assert_ne!(a[0], a[1]);
+    }
+
+    /// A short `scenario(seed)` with its CCA threshold fixed at `level`.
+    fn fixed(level: f64, seed: u64) -> Scenario {
+        let mut sc = scenario(seed);
+        sc.duration = nomc_units::SimDuration::from_secs(2);
+        sc.warmup = nomc_units::SimDuration::from_secs(1);
+        sc.behaviors[0].threshold = ThresholdMode::Fixed(Dbm::new(level));
+        sc
+    }
+
+    /// Exact repeats, levels below the −95 dBm register floor and
+    /// distinct members, mixed: four distinct run keys over seven slots.
+    fn mixed_batch() -> Vec<Scenario> {
+        vec![
+            fixed(-77.0, 1),
+            fixed(-120.0, 1),
+            fixed(-77.0, 1),
+            fixed(-95.0, 1),
+            fixed(-77.0, 2),
+            fixed(-100.0, 1),
+            fixed(-90.0, 1),
+        ]
+    }
+
+    #[test]
+    fn batch_simulates_each_distinct_key_once() {
+        let calls = AtomicUsize::new(0);
+        let out = run_batch(&mixed_batch(), |slot, r| {
+            calls.fetch_add(1, Ordering::SeqCst);
+            (slot, r.events)
+        });
+        assert_eq!(calls.load(Ordering::SeqCst), 4);
+        // Every slot carries the summary made at its key's first slot.
+        let made_at: Vec<usize> = out.iter().map(|&(slot, _)| slot).collect();
+        assert_eq!(made_at, vec![0, 1, 0, 1, 4, 1, 6]);
+    }
+
+    #[test]
+    fn batch_matches_undeduplicated_runs_at_any_thread_count() {
+        let batch = mixed_batch();
+        let each: Vec<SimResult> = batch.iter().map(engine::run).collect();
+        for threads in [1, 2, 8] {
+            assert_eq!(
+                run_batch_on(&batch, threads, |_, r| r),
+                each,
+                "{threads} threads"
+            );
+        }
     }
 
     #[test]

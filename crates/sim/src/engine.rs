@@ -53,7 +53,7 @@ use crate::metrics::SimResult;
 use crate::runtime::observer::SimObserver;
 use crate::runtime::snapshot::{self, ShardedProgress, ShardedSnapshot, SnapInner};
 use crate::runtime::{shard, Engine};
-use crate::scenario::Scenario;
+use crate::scenario::{Scenario, ThresholdMode};
 
 pub use crate::runtime::snapshot::SnapshotError;
 
@@ -82,6 +82,32 @@ pub fn run(scenario: &Scenario) -> SimResult {
 /// Panics under the same (builder-rejected) conditions as [`run`].
 pub fn run_with(scenario: &Scenario, observers: &mut [&mut dyn SimObserver]) -> SimResult {
     Engine::new(scenario, observers).run()
+}
+
+/// The run key of `scenario`: its canonical JSON with every fixed CCA
+/// threshold ([`ThresholdMode::Fixed`], [`ThresholdMode::FixedOracle`])
+/// passed through the radio's register clamp
+/// (`RadioConfig::clamp_cca_threshold`).
+///
+/// Contract: scenarios with equal keys [`run`] to equal [`SimResult`]s,
+/// so a batch may simulate one member per key. It holds because the
+/// engine reads a fixed level only through that clamp — at every CCA
+/// decision, around every provider mutation and in the final
+/// thresholds — so two levels that clamp to the same register value
+/// are indistinguishable to every handler. Everything else in the JSON
+/// (seed and recorder flags included) is kept verbatim, and DCN modes
+/// pass through unchanged.
+pub fn run_key(scenario: &Scenario) -> String {
+    let mut sc = scenario.clone();
+    for behavior in &mut sc.behaviors {
+        match &mut behavior.threshold {
+            ThresholdMode::Fixed(level) | ThresholdMode::FixedOracle(level) => {
+                *level = sc.radio.clamp_cca_threshold(*level);
+            }
+            ThresholdMode::Dcn(_) | ThresholdMode::DcnOracle(_) => {}
+        }
+    }
+    nomc_json::to_string(&sc)
 }
 
 /// A [`run_bounded`] outcome: the result plus whether the event budget
@@ -381,6 +407,79 @@ fn sharded_progress(progress: ShardedProgress) -> RunProgress {
         })),
         ShardedProgress::Done(result, exhausted) => {
             RunProgress::Done(BoundedRun { result, exhausted })
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::scenario::NetworkBehavior;
+    use nomc_core::DcnConfig;
+    use nomc_topology::paper;
+    use nomc_units::{Dbm, Megahertz, SimDuration};
+
+    /// The Fig. 5 configuration (one link between four neighbour-channel
+    /// interferers), where the link's CCA threshold decides how often
+    /// it defers, with `threshold` on the link's network.
+    fn fig5(threshold: ThresholdMode, seed: u64) -> Scenario {
+        let (deployment, link) = paper::fig5_deployment(
+            Megahertz::new(2464.0),
+            Megahertz::new(3.0),
+            Dbm::new(0.0),
+            Dbm::new(0.0),
+        );
+        let mut b = Scenario::builder(deployment);
+        b.behavior(
+            link,
+            NetworkBehavior {
+                threshold,
+                ..NetworkBehavior::zigbee_default()
+            },
+        )
+        .duration(SimDuration::from_secs(2))
+        .warmup(SimDuration::from_millis(500))
+        .seed(seed);
+        b.build().expect("valid Fig. 5 scenario")
+    }
+
+    /// Levels below the CC2420 register floor (−95 dBm) share the
+    /// floor's key and its result; −90 dBm is inside the range and
+    /// keeps a key of its own.
+    #[test]
+    fn levels_below_the_register_floor_share_key_and_result() {
+        let modes: [fn(Dbm) -> ThresholdMode; 2] =
+            [ThresholdMode::Fixed, ThresholdMode::FixedOracle];
+        for mode in modes {
+            let floor = fig5(mode(Dbm::new(-95.0)), 5);
+            let floor_result = run(&floor);
+            for level in [-120.0, -110.0, -100.0] {
+                let sc = fig5(mode(Dbm::new(level)), 5);
+                assert_eq!(run_key(&sc), run_key(&floor), "{level} dBm");
+                assert_eq!(run(&sc), floor_result, "{level} dBm");
+            }
+            let inside = fig5(mode(Dbm::new(-90.0)), 5);
+            assert_ne!(run_key(&inside), run_key(&floor));
+        }
+        // The oracle flag and the seed stay in the key.
+        assert_ne!(
+            run_key(&fig5(ThresholdMode::Fixed(Dbm::new(-120.0)), 5)),
+            run_key(&fig5(ThresholdMode::FixedOracle(Dbm::new(-120.0)), 5))
+        );
+        assert_ne!(
+            run_key(&fig5(ThresholdMode::Fixed(Dbm::new(-120.0)), 5)),
+            run_key(&fig5(ThresholdMode::Fixed(Dbm::new(-120.0)), 6))
+        );
+    }
+
+    #[test]
+    fn dcn_modes_pass_through_the_key_unchanged() {
+        for mode in [
+            ThresholdMode::Dcn(DcnConfig::paper_default()),
+            ThresholdMode::DcnOracle(DcnConfig::paper_default()),
+        ] {
+            let sc = fig5(mode, 5);
+            assert_eq!(run_key(&sc), nomc_json::to_string(&sc));
         }
     }
 }

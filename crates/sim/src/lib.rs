@@ -53,9 +53,9 @@ pub mod scenario;
 pub mod trace;
 
 pub use engine::{
-    restore, resume_bounded, run, run_bounded, run_sharded, run_sharded_bounded, run_sharded_until,
-    run_sharded_with, run_until, run_with, shard_plan, snapshot, BoundedRun, RunProgress,
-    RunSnapshot, SnapshotError,
+    restore, resume_bounded, run, run_bounded, run_key, run_sharded, run_sharded_bounded,
+    run_sharded_until, run_sharded_with, run_until, run_with, shard_plan, snapshot, BoundedRun,
+    RunProgress, RunSnapshot, SnapshotError,
 };
 pub use metrics::{LinkMetrics, NetworkMetrics, SimResult};
 pub use runtime::observer::{
